@@ -37,7 +37,8 @@ namespace diners::analysis {
 [[nodiscard]] std::vector<bool> stably_shallow_processes(
     const core::DinersSystem& system);
 
-/// ST: every process is stably shallow.
+/// ST: every process is stably shallow — equivalently, every live process
+/// is shallow (a live deep process reaches itself; DESIGN.md §12).
 [[nodiscard]] bool holds_st(const core::DinersSystem& system);
 
 /// E: no two live-or-half-live neighbors eat simultaneously — for each edge,
@@ -53,15 +54,16 @@ namespace diners::analysis {
 [[nodiscard]] std::size_t eating_violation_count(
     const core::DinersSystem& system);
 
-/// Precomputed per-state data shared by the shallowness predicates. The
-/// naive entry points above rebuild the priority orientation, the
-/// descendant lists, and the longest-live-ancestor-chain table on every
-/// call (holds_invariant rebuilds the orientation three times over); a
-/// ShallowContext computes each once and the overloads below reuse them.
+/// The reusable scratch of the flat oracle. refresh() runs one Kahn peel of
+/// the live priority graph over DinersSystem::csr() and stores the paper's
+/// l:p table and the NC verdict; the overloads below read the state and
+/// depth arrays directly and reuse it. The naive entry points above build a
+/// context per call and delegate to the overloads; holds_invariant instead
+/// checks SH:p during the same peel and stops at the first deep process.
 ///
-/// Validity: the context depends only on the priority orientation and the
-/// alive set. state/depth/needs writes do NOT invalidate it; any priority
-/// write or crash does — call refresh() before the next query.
+/// Validity: the peel reads only the priorities and the alive set, so
+/// state/depth/needs writes do NOT invalidate the context; any priority
+/// write, crash or restart does — call refresh() before the next query.
 class ShallowContext {
  public:
   ShallowContext() = default;
@@ -69,32 +71,35 @@ class ShallowContext {
     refresh(system);
   }
 
-  /// Recomputes the orientation, descendant lists, and chain table from
-  /// `system`'s current priorities and alive set.
+  /// Re-runs the peel on `system`'s current priorities and alive set,
+  /// reusing this context's arrays.
   void refresh(const core::DinersSystem& system);
 
-  [[nodiscard]] const graph::Orientation& orientation() const noexcept {
-    return orientation_;
-  }
-  /// descendants()[p] lists p's direct descendants (edges p->q).
-  [[nodiscard]] const std::vector<std::vector<graph::NodeId>>& descendants()
-      const noexcept {
-    return descendants_;
-  }
-  /// The paper's l:p table (graph::longest_live_ancestor_chain).
+  /// The paper's l:p table; equal to graph::longest_live_ancestor_chain
+  /// over system.orientation() (0 for dead processes, kUnreachable for a
+  /// live process whose ancestor chain reaches a live cycle).
   [[nodiscard]] const std::vector<std::uint32_t>& chain() const noexcept {
     return chain_;
   }
+  /// NC as of the last refresh(): every live process was peeled.
+  [[nodiscard]] bool nc() const noexcept { return nc_; }
 
  private:
-  graph::Orientation orientation_;
-  std::vector<std::vector<graph::NodeId>> descendants_;
-  std::vector<std::uint32_t> chain_;
+  friend bool holds_invariant(const core::DinersSystem& system);
+
+  /// The peel behind refresh(). Returns NC; with `stop_at_deep`, returns
+  /// NC ∧ ST instead, stopping at the first live process that is not
+  /// shallow (its l:p is final when it is peeled).
+  bool peel(const core::DinersSystem& system, bool stop_at_deep);
+
+  std::vector<std::uint32_t> chain_;  ///< l:p
+  std::vector<std::uint32_t> indeg_;  ///< unpeeled live direct ancestors
+  std::vector<std::uint32_t> order_;  ///< peel order (the Kahn queue)
+  bool nc_ = true;
 };
 
 /// Context overloads: identical results to the same-named naive entry
-/// points (a property test pins this), without re-deriving the orientation
-/// or chain per call.
+/// points (a property test pins this), without re-running the peel.
 [[nodiscard]] bool holds_nc(const core::DinersSystem& system,
                             const ShallowContext& ctx);
 [[nodiscard]] std::vector<bool> shallow_processes(

@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/config.hpp"
@@ -85,6 +86,23 @@ class DinersSystem final : public PhilosopherProgram {
   /// Packed CSR adjacency, index-aligned (neighbor, edge id) pairs; same
   /// iteration order as topology().neighbors()/incident_edges().
   [[nodiscard]] const graph::CsrView& csr() const noexcept { return csr_; }
+
+  /// Read-only views of the raw state arrays, indexed by process id
+  /// (priorities(): by edge id, aligned with csr().edge_ids()). They alias
+  /// the live store, so every mutator shows through them without a
+  /// re-fetch.
+  [[nodiscard]] std::span<const DinerState> states() const noexcept {
+    return states_;
+  }
+  [[nodiscard]] std::span<const std::int64_t> depths() const noexcept {
+    return depths_;
+  }
+  [[nodiscard]] std::span<const std::uint8_t> alive_flags() const noexcept {
+    return alive_;
+  }
+  [[nodiscard]] std::span<const ProcessId> priorities() const noexcept {
+    return priority_;
+  }
 
   /// All five guards of `p` in one neighborhood scan, as a bitmask indexed
   /// by Action (bit a set iff enabled(p, a)). Does NOT consult alive(p) —

@@ -123,12 +123,13 @@ std::optional<std::vector<NodeId>> dfs_cycle(const Orientation& o,
   const std::size_t n = o.ancestors.size();
   std::vector<Mark> mark(n, Mark::kWhite);
   std::vector<NodeId> parent(n, kNoNode);
+  // Stack holds (node, next ancestor index to visit); one for every root.
+  std::vector<std::pair<NodeId, std::size_t>> stack;
   for (std::size_t root = 0; root < n; ++root) {
     if (mark[root] != Mark::kWhite || !node_alive(alive, static_cast<NodeId>(root))) {
       continue;
     }
-    // Stack holds (node, next ancestor index to visit).
-    std::vector<std::pair<NodeId, std::size_t>> stack;
+    stack.clear();
     stack.emplace_back(static_cast<NodeId>(root), 0);
     mark[root] = Mark::kGray;
     while (!stack.empty()) {
@@ -184,13 +185,14 @@ std::vector<std::uint32_t> longest_live_ancestor_chain(
   // p). Dead nodes get 0; nodes reaching a live cycle get kUnreachable.
   std::vector<std::uint32_t> l(n, 0);
   std::vector<Mark> mark(n, Mark::kWhite);
+  std::vector<std::pair<NodeId, std::size_t>> stack;
   for (std::size_t root = 0; root < n; ++root) {
     if (mark[root] != Mark::kWhite) continue;
     if (!node_alive(alive, static_cast<NodeId>(root))) {
       mark[root] = Mark::kBlack;
       continue;
     }
-    std::vector<std::pair<NodeId, std::size_t>> stack;
+    stack.clear();
     stack.emplace_back(static_cast<NodeId>(root), 0);
     mark[root] = Mark::kGray;
     while (!stack.empty()) {

@@ -1,8 +1,15 @@
 #include "analysis/invariants.hpp"
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/figure2.hpp"
+#include "core/flat_engine.hpp"
 #include "fault/injector.hpp"
 #include "graph/generators.hpp"
 #include "runtime/engine.hpp"
@@ -239,6 +246,373 @@ TEST(Invariant, Figure2FrameIsTransientAndGetsRepaired) {
   engine.run(3000);
   EXPECT_TRUE(holds_nc(s));
   EXPECT_TRUE(holds_e(s));
+}
+
+// --- differential pin: flat oracle vs the orientation-based reference ----
+//
+// The reference is the textbook form of each predicate, as the library
+// computed them before the flat oracle: the priority graph as ancestor
+// lists (DinersSystem::orientation), NC by DFS cycle search, l:p by
+// graph::longest_live_ancestor_chain, ST as "every process stably shallow"
+// with an explicit reach-a-deep-process BFS. Every naive entry point and
+// every context overload must agree with it on every state, verdict by
+// verdict and element by element.
+
+namespace ref {
+
+bool nc(const DinersSystem& s) {
+  return !graph::has_directed_cycle(s.orientation(), s.alive_fn());
+}
+
+std::vector<std::uint32_t> chain(const DinersSystem& s) {
+  return graph::longest_live_ancestor_chain(s.orientation(), s.alive_fn());
+}
+
+std::vector<bool> shallow(const DinersSystem& s) {
+  const auto n = s.topology().num_nodes();
+  const auto l = chain(s);
+  const auto d = static_cast<std::int64_t>(s.diameter_constant());
+  std::vector<bool> out(n, true);
+  for (P p = 0; p < n; ++p) {
+    if (!s.alive(p)) continue;
+    bool ok = s.depth(p) <= d;
+    for (P q : s.direct_descendants(p)) {
+      const bool cannot_overflow =
+          l[p] != graph::kUnreachable &&
+          s.depth(q) + static_cast<std::int64_t>(l[p]) <= d;
+      ok = ok && (cannot_overflow || s.depth(q) + 1 <= s.depth(p));
+    }
+    out[p] = ok;
+  }
+  return out;
+}
+
+std::vector<bool> stable(const DinersSystem& s) {
+  const auto n = s.topology().num_nodes();
+  const auto sh = shallow(s);
+  std::vector<bool> reaches_deep(n, false);
+  std::vector<P> queue;
+  for (P p = 0; p < n; ++p) {
+    if (s.alive(p) && !sh[p]) {
+      reaches_deep[p] = true;
+      queue.push_back(p);
+    }
+  }
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    for (P anc : s.direct_ancestors(queue[head])) {
+      if (!reaches_deep[anc]) {
+        reaches_deep[anc] = true;
+        queue.push_back(anc);
+      }
+    }
+  }
+  std::vector<bool> out(n);
+  for (P p = 0; p < n; ++p) {
+    out[p] = !s.alive(p) || (sh[p] && !reaches_deep[p]);
+  }
+  return out;
+}
+
+bool st(const DinersSystem& s) {
+  for (bool b : stable(s)) {
+    if (!b) return false;
+  }
+  return true;
+}
+
+std::size_t violations(const DinersSystem& s) {
+  std::size_t count = 0;
+  for (const auto& e : s.topology().edges()) {
+    if (s.state(e.u) == DinerState::kEating &&
+        s.state(e.v) == DinerState::kEating && (s.alive(e.u) || s.alive(e.v))) {
+      ++count;
+    }
+  }
+  return count;
+}
+
+}  // namespace ref
+
+/// Compares every predicate with the reference on one state, naive and
+/// through a context, and tallies the states seen, the mismatches, and how
+/// often each verdict came out true (so a battery cannot pass by only ever
+/// seeing one side). The context is reused across states and systems of
+/// different sizes, so refresh() is exercised on grown and shrunk arrays.
+struct Differ {
+  std::size_t states = 0;
+  std::size_t mismatches = 0;
+  std::size_t nc_true = 0;
+  std::size_t st_true = 0;
+  std::size_t inv_true = 0;
+  ShallowContext ctx;
+
+  void check(const DinersSystem& s, const std::string& where) {
+    ctx.refresh(s);
+    compare(s, ctx, where);
+  }
+
+  /// Compares with `c` as it stands (no refresh), for the validity
+  /// contract.
+  void compare(const DinersSystem& s, const ShallowContext& c,
+               const std::string& where) {
+    ++states;
+    const bool nc = ref::nc(s);
+    const bool st = ref::st(s);
+    const std::size_t viol = ref::violations(s);
+    const bool inv = nc && st && viol == 0;
+    const auto shallow = ref::shallow(s);
+    const auto stable = ref::stable(s);
+    nc_true += nc;
+    st_true += st;
+    inv_true += inv;
+    const bool naive = holds_nc(s) == nc && holds_st(s) == st &&
+                       holds_e(s) == (viol == 0) &&
+                       holds_invariant(s) == inv &&
+                       eating_violation_count(s) == viol &&
+                       shallow_processes(s) == shallow &&
+                       stably_shallow_processes(s) == stable;
+    const bool context = holds_nc(s, c) == nc && holds_st(s, c) == st &&
+                         holds_invariant(s, c) == inv &&
+                         shallow_processes(s, c) == shallow &&
+                         stably_shallow_processes(s, c) == stable &&
+                         c.chain() == ref::chain(s);
+    if ((!naive || !context) && ++mismatches <= 5) {
+      ADD_FAILURE() << "flat oracle disagrees with the reference at " << where
+                    << " (naive " << (naive ? "ok" : "differs") << ", context "
+                    << (context ? "ok" : "differs") << "; reference NC=" << nc
+                    << " ST=" << st << " violations=" << viol << ")";
+    }
+  }
+};
+
+struct Topology {
+  const char* name;
+  graph::Graph g;
+};
+
+std::vector<Topology> topologies() {
+  std::vector<Topology> out;
+  out.push_back({"ring12", graph::make_ring(12)});
+  out.push_back({"ring5", graph::make_ring(5)});
+  out.push_back({"star9", graph::make_star(9)});
+  out.push_back({"grid4x4", graph::make_grid(4, 4)});
+  out.push_back({"caterpillar5x2", graph::make_caterpillar(5, 2)});
+  out.push_back({"complete6", graph::make_complete(6)});
+  out.push_back({"gnp12", graph::make_connected_gnp(12, 0.3, 7)});
+  out.push_back({"gnp16", graph::make_connected_gnp(16, 0.2, 8)});
+  return out;
+}
+
+/// Corrupts every variable; the depth slack varies so that both deep and
+/// shallow processes are common.
+void corrupt(DinersSystem& s, util::Xoshiro256& rng) {
+  fault::CorruptionOptions options;
+  options.depth_slack = static_cast<std::int64_t>(rng.below(4));
+  fault::corrupt_global_state(s, rng, options);
+}
+
+/// Orients a live priority cycle through `cycle` (consecutive members must
+/// be neighbors): each member becomes the ancestor of the next.
+void orient_cycle(DinersSystem& s, const std::vector<P>& cycle) {
+  for (std::size_t i = 0; i < cycle.size(); ++i) {
+    s.set_priority(cycle[i], cycle[(i + 1) % cycle.size()], cycle[i]);
+  }
+}
+
+TEST(FlatOracleDifferential, CorruptedStatesWithZeroToTwoCrashes) {
+  util::Xoshiro256 rng(2024);
+  Differ diff;
+  for (const auto& topo : topologies()) {
+    const auto n = topo.g.num_nodes();
+    for (int trial = 0; trial < 3000; ++trial) {
+      DinersSystem s(topo.g);
+      corrupt(s, rng);
+      const auto crashes = rng.below(3);
+      for (std::uint64_t c = 0; c < crashes; ++c) {
+        s.crash(static_cast<P>(rng.below(n)));
+      }
+      diff.check(s, std::string(topo.name) + " trial " +
+                        std::to_string(trial));
+    }
+  }
+  EXPECT_EQ(diff.mismatches, 0u);
+  EXPECT_GE(diff.states, 24000u);
+  EXPECT_GT(diff.nc_true, 0u);
+  EXPECT_LT(diff.nc_true, diff.states);
+  EXPECT_GT(diff.st_true, 0u);
+  EXPECT_LT(diff.st_true, diff.states);
+}
+
+TEST(FlatOracleDifferential, DeadCycleMemberAndFrozenOverDeepDescendant) {
+  // A cycle excused by a dead member (NC holds, and the chain through the
+  // dead member is cut), and a dead descendant whose frozen depth exceeds
+  // D so that its live ancestors are not shallow. The rest of the state is
+  // random.
+  util::Xoshiro256 rng(77);
+  Differ diff;
+  for (const auto& topo : {Topology{"ring8", graph::make_ring(8)},
+                           Topology{"complete5", graph::make_complete(5)},
+                           Topology{"grid3x3", graph::make_grid(3, 3)}}) {
+    // A cycle of neighbors in each topology: the whole ring, a triangle,
+    // a grid square.
+    const std::vector<P> cycle =
+        topo.g.num_nodes() == 8   ? std::vector<P>{0, 1, 2, 3, 4, 5, 6, 7}
+        : topo.g.num_nodes() == 5 ? std::vector<P>{0, 1, 2}
+                                  : std::vector<P>{0, 1, 4, 3};
+    for (int trial = 0; trial < 1500; ++trial) {
+      DinersSystem s(topo.g);
+      corrupt(s, rng);
+      orient_cycle(s, cycle);
+      const P dead = cycle[rng.below(cycle.size())];
+      s.crash(dead);
+      // The whole ring is the ring's only cycle, and it has a dead member.
+      if (cycle.size() == topo.g.num_nodes()) {
+        EXPECT_TRUE(holds_nc(s));
+      }
+      diff.check(s, std::string(topo.name) + " dead cycle member, trial " +
+                        std::to_string(trial));
+      // A second dead process, frozen over-deep below a live ancestor.
+      const P frozen = static_cast<P>(rng.below(topo.g.num_nodes()));
+      const auto& nbrs = topo.g.neighbors(frozen);
+      const P anc = nbrs[rng.below(nbrs.size())];
+      s.set_priority(anc, frozen, anc);
+      s.set_depth(frozen, s.diameter_constant() + 1 + rng.below(4));
+      s.crash(frozen);
+      diff.check(s, std::string(topo.name) + " frozen deep, trial " +
+                        std::to_string(trial));
+      if (s.alive(anc)) {
+        EXPECT_FALSE(stably_shallow_processes(s)[anc]);
+        EXPECT_FALSE(holds_st(s));
+      }
+    }
+  }
+  EXPECT_EQ(diff.mismatches, 0u);
+  EXPECT_GE(diff.states, 9000u);
+}
+
+TEST(FlatOracleDifferential, StatesAlongFlatEngineConvergence) {
+  // Every third step of the flat engine converging from a corrupted start,
+  // with a crash part-way through on odd trials, until I has held for a
+  // while.
+  util::Xoshiro256 rng(5);
+  Differ diff;
+  for (const auto& topo : topologies()) {
+    for (const char* daemon : {"round-robin", "random", "adversarial-age"}) {
+      for (int trial = 0; trial < 4; ++trial) {
+        core::DinersConfig config;
+        config.diameter_override = topo.g.num_nodes() - 1;  // sound D
+        DinersSystem s(topo.g, config);
+        corrupt(s, rng);
+        core::FlatEngine engine(s, daemon, rng.next());
+        int checks_after_i = 0;
+        for (int step = 0; step < 6000 && checks_after_i < 40; ++step) {
+          if (trial % 2 == 1 && step == 30) {
+            s.crash(static_cast<P>(rng.below(topo.g.num_nodes())));
+            engine.invalidate_all();
+          }
+          if (!engine.step()) break;
+          if (step % 3 != 0) continue;
+          diff.check(s, std::string(topo.name) + " " + daemon + " step " +
+                            std::to_string(step));
+          if (holds_invariant(s)) ++checks_after_i;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(diff.mismatches, 0u);
+  EXPECT_GE(diff.states, 8000u);
+  EXPECT_GT(diff.inv_true, 0u);
+}
+
+TEST(FlatOracleDifferential, LivePriorityCycleLeavesSTToItself) {
+  // NC fails, so holds_invariant stops at the peel; ST is then judged on
+  // its own, with l:p unbounded on and below the cycle. A caterpillar,
+  // which has no cycle, supplies states where NC holds whatever the
+  // orientation.
+  util::Xoshiro256 rng(99);
+  Differ diff;
+  const std::vector<std::pair<graph::Graph, std::vector<P>>> cases = {
+      {graph::make_ring(6), {0, 1, 2, 3, 4, 5}},
+      {graph::make_complete(6), {0, 2, 4}},
+      {graph::make_grid(4, 4), {5, 6, 10, 9}},
+      {graph::make_caterpillar(4, 2), {}},
+  };
+  for (const auto& [g, cycle] : cases) {
+    for (int trial = 0; trial < 2500; ++trial) {
+      DinersSystem s(g);
+      corrupt(s, rng);
+      if (cycle.empty()) {
+        // A tree has no cycle: the depths alone decide ST.
+        for (P p = 0; p < g.num_nodes(); ++p) {
+          s.set_depth(p, static_cast<std::int64_t>(rng.below(3)));
+        }
+      } else {
+        orient_cycle(s, cycle);
+        // Shallow-looking depths, so that only the unbounded chain can
+        // make a process deep.
+        for (P p = 0; p < g.num_nodes(); ++p) {
+          s.set_depth(p, -static_cast<std::int64_t>(rng.below(3)));
+        }
+        EXPECT_FALSE(holds_nc(s));
+        EXPECT_FALSE(holds_invariant(s));
+      }
+      diff.check(s, "cycle case trial " + std::to_string(trial));
+    }
+  }
+  EXPECT_EQ(diff.mismatches, 0u);
+  EXPECT_GE(diff.states, 10000u);
+  EXPECT_GT(diff.st_true, 0u);  // the tree states
+  EXPECT_GE(diff.states - diff.nc_true, 7500u);
+}
+
+TEST(FlatOracleDifferential, RestartAfterCrashThenRefresh) {
+  // Crash a process mid-convergence, run on, then restart it: each change
+  // of the alive set and the restart's priority writes are followed by a
+  // refresh(). Between them, the engine's own state and depth writes are
+  // compared against a context that is NOT refreshed when no step wrote a
+  // priority, which is the documented validity contract.
+  util::Xoshiro256 rng(31);
+  Differ diff;
+  for (const auto& topo : topologies()) {
+    const auto n = topo.g.num_nodes();
+    for (int trial = 0; trial < 12; ++trial) {
+      core::DinersConfig config;
+      config.diameter_override = n - 1;
+      DinersSystem s(topo.g, config);
+      corrupt(s, rng);
+      core::FlatEngine engine(s, "random", rng.next());
+      const P victim = static_cast<P>(rng.below(n));
+      ShallowContext held(s);
+      for (int step = 0; step < 1500; ++step) {
+        if (step == 200) s.crash(victim);
+        if (step == 700) s.restart(victim);
+        if (step == 200 || step == 700) {
+          engine.invalidate_all();
+          held.refresh(s);
+          diff.check(s, std::string(topo.name) + " after " +
+                            (step == 200 ? "crash" : "restart"));
+        }
+        const auto before = std::vector<P>(s.priorities().begin(),
+                                           s.priorities().end());
+        // A quiescent system (every needs flag corrupted to false) still
+        // gets its crash and restart.
+        if (!engine.step()) continue;
+        const bool priority_written =
+            !std::equal(before.begin(), before.end(), s.priorities().begin());
+        if (priority_written) {
+          held.refresh(s);
+        } else {
+          diff.compare(s, held, std::string(topo.name) +
+                                    " unrefreshed context, step " +
+                                    std::to_string(step));
+        }
+      }
+      EXPECT_TRUE(s.alive(victim));
+    }
+  }
+  EXPECT_EQ(diff.mismatches, 0u);
+  EXPECT_GE(diff.states, 10000u);
+  EXPECT_GT(diff.inv_true, 0u);
 }
 
 }  // namespace

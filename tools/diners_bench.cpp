@@ -11,6 +11,8 @@
 //   campaign  diners_sim --engine=flat ring n=10^6 corrupted start
 //             to invariant I (the E1 protocol at full scale)
 //                                               -> wall seconds
+//   oracle    holds_invariant on a corrupted ring n=2^20, in process
+//                                               -> ns/process
 //   explorer  diners_mc --exhaustive --json on ring-4 and K4 at
 //             jobs=1/4, plus --reduce=sym,por rows (ring-4 box,
 //             ring-6 instance seeds)             -> states/sec
@@ -37,6 +39,8 @@
 //   diners_bench --compare=BENCH_9.json --out=BENCH_10.json
 //   diners_bench --compare=BENCH_10.json --out=BENCH_ci.json \
 //                --soft-match=engine.step.,engine.e1.,service.
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -47,9 +51,14 @@
 
 #include <sys/wait.h>
 
+#include "analysis/invariants.hpp"
 #include "analysis/perf_trajectory.hpp"
+#include "core/diners_system.hpp"
+#include "fault/injector.hpp"
+#include "graph/generators.hpp"
 #include "util/flags.hpp"
 #include "util/json_reader.hpp"
+#include "util/rng.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -415,6 +424,41 @@ void collect_campaign(BenchReport& report, const fs::path& tools_dir,
   report.metrics.push_back(std::move(m));
 }
 
+/// The invariant oracle on its own, at the campaign's scale: the median of
+/// kCalls holds_invariant calls on one corrupted ring-2^20 (threshold n/2,
+/// fixed seed), divided by n. Measured in process, so the row isolates the
+/// oracle layer that engine.e1.n1M.seconds pays once per check.
+void collect_oracle(BenchReport& report) {
+  constexpr diners::graph::NodeId kN = 1u << 20;
+  constexpr int kCalls = 5;
+  diners::core::DinersConfig config;
+  config.diameter_override = kN / 2;
+  diners::core::DinersSystem system(diners::graph::make_ring(kN), config);
+  diners::util::Xoshiro256 rng(1);
+  diners::fault::corrupt_global_state(system, rng);
+  std::vector<double> ns;
+  bool verdict = true;
+  for (int i = 0; i < kCalls; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    verdict = diners::analysis::holds_invariant(system);
+    ns.push_back(std::chrono::duration<double, std::nano>(
+                     std::chrono::steady_clock::now() - start)
+                     .count());
+  }
+  if (verdict) {
+    throw DriverError("oracle: a corrupted ring satisfied I; not a sample");
+  }
+  std::nth_element(ns.begin(), ns.begin() + kCalls / 2, ns.end());
+  BenchMetric m;
+  m.name = "analysis.oracle.n1M.ns_per_process";
+  m.value = ns[kCalls / 2] / kN;
+  m.unit = "ns/process";
+  m.higher_is_better = false;
+  m.params = {{"topology", "ring"}, {"n", "1048576"}, {"threshold", "524288"},
+              {"calls", std::to_string(kCalls)}, {"seed", "1"}};
+  report.metrics.push_back(std::move(m));
+}
+
 // --- modes -----------------------------------------------------------------
 
 void print_metrics(const BenchReport& report) {
@@ -461,6 +505,7 @@ int run_suite(const diners::util::Flags& flags, const char* argv0) {
 
   collect_engine(report, bench_dir, workdir);
   collect_campaign(report, tools_dir, workdir);
+  collect_oracle(report);
   collect_explorer(report, tools_dir, workdir);
   collect_batch(report, bench_dir, workdir);
   collect_chaos(report, tools_dir);
@@ -555,8 +600,8 @@ int main(int argc, char** argv) {
   diners::util::Flags flags;
   flags
       .define("quick", "true",
-              "run the quick suite (engine, campaign, explorer, batch, "
-              "chaos, service); currently the only suite")
+              "run the quick suite (engine, campaign, oracle, explorer, "
+              "batch, chaos, service); currently the only suite")
       .define("out", "BENCH_10.json",
               "record path: written in run mode, the 'current' side in "
               "--compare mode")
