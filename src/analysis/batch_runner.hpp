@@ -105,9 +105,6 @@ struct ScenarioOptions {
   /// Rebuild shard count inside the flat engine (per trial, on top of the
   /// batch-level `jobs` fan-out). Results identical at every value.
   unsigned rebuild_jobs = 1;
-  /// Wide in-step refresh shard count inside the flat engine (per trial).
-  /// Results identical at every value.
-  unsigned step_jobs = 1;
 
   /// Start from a uniformly corrupted state (Theorem 1 experiments).
   bool corrupt = false;

@@ -26,7 +26,7 @@ ExperimentHarness::ExperimentHarness(DinersSystem& system,
   if (options_.engine_kind == sim::EngineKind::kFlat) {
     engine_ = std::make_unique<core::FlatEngine>(
         system_, options_.daemon, daemon_seed, options_.fairness_bound,
-        options_.rebuild_jobs, options_.step_jobs);
+        options_.rebuild_jobs);
   } else {
     engine_ = std::make_unique<sim::Engine>(
         system_, sim::make_daemon(options_.daemon, daemon_seed),

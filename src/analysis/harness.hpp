@@ -33,9 +33,6 @@ struct HarnessOptions {
   /// Worker count for the flat engine's sharded full rebuilds. Results are
   /// identical at every value; ignored by the object engine.
   unsigned rebuild_jobs = 1;
-  /// Shard count for the flat engine's wide in-step dirty refreshes.
-  /// Results are identical at every value; ignored by the object engine.
-  unsigned step_jobs = 1;
 };
 
 class ExperimentHarness {

@@ -4,7 +4,6 @@
 #include <bit>
 #include <stdexcept>
 
-#include "core/guard_sweep.hpp"
 #include "util/thread_pool.hpp"
 
 namespace diners::core {
@@ -19,23 +18,16 @@ constexpr std::uint64_t mask_above(std::uint32_t b) {
   return b == 63 ? 0 : ~0ULL << (b + 1);
 }
 
-/// Dirty sets below this take the per-process refresh path; at or above
-/// it (and with step_jobs > 1) whole 64-process blocks re-sweep in
-/// parallel. Three full blocks is where the block sweep's redundant
-/// recomputes amortize.
-constexpr std::size_t kWideRefreshMinDirty = 192;
-
 }  // namespace
 
 FlatEngine::FlatEngine(DinersSystem& system, const std::string& daemon,
                        std::uint64_t daemon_seed, std::uint64_t fairness_bound,
-                       unsigned rebuild_jobs, unsigned step_jobs)
+                       unsigned rebuild_jobs)
     : system_(system),
       daemon_name_(daemon),
       rng_(daemon_seed),
       fairness_bound_(fairness_bound),
-      rebuild_jobs_(rebuild_jobs),
-      step_jobs_(step_jobs) {
+      rebuild_jobs_(rebuild_jobs) {
   if (daemon == "round-robin") {
     kind_ = DaemonKind::kRoundRobin;
   } else if (daemon == "random") {
@@ -52,9 +44,6 @@ FlatEngine::FlatEngine(DinersSystem& system, const std::string& daemon,
   }
   if (rebuild_jobs_ == 0) {
     throw std::invalid_argument("FlatEngine: rebuild jobs must be positive");
-  }
-  if (step_jobs_ == 0) {
-    throw std::invalid_argument("FlatEngine: step jobs must be positive");
   }
   track_select_ = kind_ == DaemonKind::kRandom;
   n_ = system_.topology().num_nodes();
@@ -228,28 +217,26 @@ void FlatEngine::refresh_process(sim::ProcessId p) const {
   }
 }
 
-void FlatEngine::sweep_block_words(std::uint32_t block,
-                                   std::uint64_t* out) const {
-  const auto lo = static_cast<sim::ProcessId>(block) << 6;
-  const auto cnt =
-      static_cast<std::uint32_t>(std::min<sim::ProcessId>(64, n_ - lo));
-  GuardBlock gb;
-  system_.guard_block(lo, cnt, gb);
-  std::uint64_t lanes[kActions];
-  for (std::uint32_t a = 0; a < kActions; ++a) {
-    lanes[a] = gb.lane[a] & gb.alive;  // dead processes execute nothing
-  }
-  spread_guard_lanes(lanes, out);
-}
-
 void FlatEngine::rebuild(bool keep_ages) const {
   // Parallel phase: 64-process blocks (5 * 64 = 320 slots = exactly five
-  // words) sweep guards via guard_block and write their disjoint enabled
-  // words and stamps. Output is a pure function of program state, so it
-  // is bit-identical for every jobs count and partition.
+  // words) evaluate guard_mask per process and write their disjoint
+  // enabled words and stamps. Output is a pure function of program state,
+  // so it is bit-identical for every jobs count and partition.
   const auto eval_block = [&](std::size_t block) {
-    std::uint64_t w5[kActions];
-    sweep_block_words(static_cast<std::uint32_t>(block), w5);
+    const auto lo = static_cast<sim::ProcessId>(block) << 6;
+    const auto cnt = std::min<sim::ProcessId>(64, n_ - lo);
+    std::uint64_t w5[kActions] = {};
+    for (sim::ProcessId j = 0; j < cnt; ++j) {
+      const std::uint64_t mask =
+          system_.alive(lo + j) ? system_.guard_mask(lo + j) : 0;
+      // Process j's guards land on block bits 5j .. 5j + 4, straddling
+      // into the next word when 5j mod 64 > 59 (never past word 4).
+      const std::uint32_t bit = j * kActions;
+      w5[bit >> 6] |= mask << (bit & 63);
+      if ((bit & 63) > 64 - kActions) {
+        w5[(bit >> 6) + 1] |= mask >> (64 - (bit & 63));
+      }
+    }
     const auto wbase = static_cast<std::uint32_t>(block) * kActions;
     const std::uint32_t wcnt = std::min(kActions, words_ - wbase);
     for (std::uint32_t k = 0; k < wcnt; ++k) {
@@ -314,87 +301,13 @@ void FlatEngine::rebuild(bool keep_ages) const {
   for (const Slot s : order_) list_append_tail(s);
 }
 
-void FlatEngine::apply_word_diff(std::uint32_t w, std::uint64_t neww) const {
-  const std::uint64_t old = enabled_[w];
-  std::uint64_t add = neww & ~old;
-  std::uint64_t rem = old & ~neww;
-  if (add == 0 && rem == 0) return;
-  enabled_[w] = neww;
-  const std::uint32_t s1 = w >> 6;
-  if (old == 0) {
-    if (sum1_[s1] == 0) sum2_[s1 >> 6] |= 1ULL << (s1 & 63);
-    sum1_[s1] |= 1ULL << (w & 63);
-  } else if (neww == 0) {
-    sum1_[s1] &= ~(1ULL << (w & 63));
-    if (sum1_[s1] == 0) sum2_[s1 >> 6] &= ~(1ULL << (s1 & 63));
-  }
-  const auto delta = static_cast<std::int64_t>(std::popcount(neww)) -
-                     static_cast<std::int64_t>(std::popcount(old));
-  if (delta != 0) {
-    fenwick_add(w, delta);
-    total_ += static_cast<std::uint64_t>(delta);
-  }
-  while (rem != 0) {
-    const Slot s =
-        (w << 6) + static_cast<std::uint32_t>(std::countr_zero(rem));
-    rem &= rem - 1;
-    list_unlink(s);
-  }
-  while (add != 0) {
-    const Slot s =
-        (w << 6) + static_cast<std::uint32_t>(std::countr_zero(add));
-    add &= add - 1;
-    enabled_since_[s] = steps_;
-    list_insert_max_stamp(s);
-  }
-}
-
-void FlatEngine::wide_refresh() const {
-  // Parallel phase: the dirty processes' 64-process blocks re-sweep into
-  // per-block scratch words (a pure function of program state — any
-  // partition yields the same words; re-sweeping a clean process in a
-  // dirty block recomputes its unchanged guards, a no-op in the fold).
-  dirty_blocks_.clear();
-  for (const sim::ProcessId q : dirty_) {
-    dirty_blocks_.push_back(static_cast<std::uint32_t>(q) >> 6);
-  }
-  std::sort(dirty_blocks_.begin(), dirty_blocks_.end());
-  dirty_blocks_.erase(
-      std::unique(dirty_blocks_.begin(), dirty_blocks_.end()),
-      dirty_blocks_.end());
-  block_words_.resize(dirty_blocks_.size() * kActions);
-  const auto sweep = [&](std::size_t i) {
-    sweep_block_words(dirty_blocks_[i], &block_words_[i * kActions]);
-  };
-  if (dirty_blocks_.size() == 1) {
-    sweep(0);
-  } else {
-    util::TrialPool pool(step_jobs_);
-    pool.run(dirty_blocks_.size(), sweep);
-  }
-  // Serial fold, block-ascending. Every slot this fold enables carries
-  // the same stamp (steps_) and the age list is (stamp, slot)-ordered, so
-  // the result is byte-identical to the per-process refresh path.
-  for (std::size_t i = 0; i < dirty_blocks_.size(); ++i) {
-    const std::uint32_t wbase = dirty_blocks_[i] * kActions;
-    const std::uint32_t wcnt = std::min(kActions, words_ - wbase);
-    for (std::uint32_t k = 0; k < wcnt; ++k) {
-      apply_word_diff(wbase + k, block_words_[i * kActions + k]);
-    }
-  }
-}
-
 void FlatEngine::ensure_fresh() const {
   if (pending_ != Refresh::kNone) {
     rebuild(/*keep_ages=*/pending_ == Refresh::kKeepAges);
     dirty_.clear();
     pending_ = Refresh::kNone;
   } else if (!dirty_.empty()) {
-    if (step_jobs_ > 1 && dirty_.size() >= kWideRefreshMinDirty) {
-      wide_refresh();
-    } else {
-      for (const sim::ProcessId q : dirty_) refresh_process(q);
-    }
+    for (const sim::ProcessId q : dirty_) refresh_process(q);
     dirty_.clear();
   }
 }

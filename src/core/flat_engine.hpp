@@ -21,22 +21,13 @@
 //    selects by rank, so the other daemons skip the O(log W) update on
 //    every enabled-bit flip — the dominant steady-state cost;
 //  * guards are evaluated five-at-a-time by DinersSystem::guard_mask()
-//    (single branch-light CSR neighborhood pass, no virtual dispatch) on
-//    the per-step dirty path, and 64-processes-at-a-time by the SIMD
-//    guard_block() sweep (core/guard_sweep.hpp) on block sweeps;
+//    (single branch-light CSR neighborhood pass, no virtual dispatch),
+//    the one guard evaluator of both the per-step dirty path and rebuilds;
 //  * full rebuilds (the initial build, invalidate_all, reset_ages) shard
 //    across a util::TrialPool in 64-process blocks. 5 actions x 64
 //    processes = 320 slots = exactly five 64-bit words, so shards write
 //    disjoint words and the rebuilt state is bit-identical for any jobs
-//    count (the PR 2/PR 5 determinism contract);
-//  * wide dirty sets (a high-degree step dirties its whole neighborhood)
-//    take the same block-sweep path during stepping: dirty blocks shard
-//    across `step_jobs` workers into per-block scratch words, then a
-//    serial block-ascending fold diffs them into the summaries and age
-//    list. Newly enabled slots all carry the same stamp and the list is
-//    (stamp, slot)-ordered, so the fold — and therefore every trace — is
-//    byte-identical to the serial per-process path for any step_jobs
-//    (DESIGN.md §11 gives the argument).
+//    count (the determinism contract of DESIGN.md §9).
 //
 // The daemons are implemented natively against these structures rather than
 // through the sim::Daemon candidate-span interface; each reproduces its
@@ -58,14 +49,12 @@ class FlatEngine final : public sim::EngineBase {
  public:
   /// Borrows `system`. `daemon` / `daemon_seed` mirror
   /// sim::make_daemon(name, seed); `fairness_bound` as in sim::Engine;
-  /// `rebuild_jobs` shards full enabled-set rebuilds and `step_jobs`
-  /// shards wide in-step dirty refreshes (1 = serial; results are
-  /// byte-identical at every value of either). Throws
-  /// std::invalid_argument on an unknown daemon name, a zero fairness
-  /// bound, or zero jobs.
+  /// `rebuild_jobs` shards full enabled-set rebuilds (1 = serial; results
+  /// are byte-identical at every value). Throws std::invalid_argument on an
+  /// unknown daemon name, a zero fairness bound, or zero jobs.
   FlatEngine(DinersSystem& system, const std::string& daemon,
              std::uint64_t daemon_seed, std::uint64_t fairness_bound = 4096,
-             unsigned rebuild_jobs = 1, unsigned step_jobs = 1);
+             unsigned rebuild_jobs = 1);
 
   std::optional<sim::StepRecord> step() override;
   [[nodiscard]] std::size_t enabled_count() const override;
@@ -77,7 +66,6 @@ class FlatEngine final : public sim::EngineBase {
     return daemon_name_;
   }
   [[nodiscard]] unsigned rebuild_jobs() const noexcept { return rebuild_jobs_; }
-  [[nodiscard]] unsigned step_jobs() const noexcept { return step_jobs_; }
 
  private:
   using Slot = std::uint32_t;
@@ -98,14 +86,6 @@ class FlatEngine final : public sim::EngineBase {
   void ensure_fresh() const;
   void rebuild(bool keep_ages) const;
   void refresh_process(sim::ProcessId p) const;
-  /// The five slot-major enabled words of a 64-process block, freshly
-  /// swept via guard_block (dead processes masked out).
-  void sweep_block_words(std::uint32_t block, std::uint64_t* out) const;
-  /// Block-sharded refresh of the dirty set (the wide in-step path).
-  void wide_refresh() const;
-  /// Replaces enabled word w, folding the diff into summaries, Fenwick,
-  /// total, stamps, and the age list (newly enabled slots stamp steps_).
-  void apply_word_diff(std::uint32_t w, std::uint64_t neww) const;
 
   [[nodiscard]] bool test(Slot s) const {
     return (enabled_[s >> 6] >> (s & 63)) & 1u;
@@ -141,7 +121,6 @@ class FlatEngine final : public sim::EngineBase {
   util::Xoshiro256 rng_;  ///< consumed only by the random daemon's choices
   std::uint64_t fairness_bound_;
   unsigned rebuild_jobs_;
-  unsigned step_jobs_;
   bool track_select_;  ///< Fenwick maintained? only the random daemon ranks
 
   sim::ProcessId n_ = 0;
@@ -165,8 +144,6 @@ class FlatEngine final : public sim::EngineBase {
   mutable std::vector<sim::ProcessId> dirty_;
   mutable Refresh pending_ = Refresh::kZeroAges;  ///< first build deferred
   mutable std::vector<Slot> order_;               ///< rebuild scratch
-  mutable std::vector<std::uint32_t> dirty_blocks_;   ///< wide-refresh scratch
-  mutable std::vector<std::uint64_t> block_words_;    ///< wide-refresh scratch
 
   Slot rr_cursor_ = kNull;  ///< round-robin: last chosen slot
 };

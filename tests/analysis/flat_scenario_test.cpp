@@ -1,10 +1,9 @@
 // Scenario-level equivalence of the flat substrate: run_scenario_batch with
 // engine_kind = kFlat must produce aggregates bit-identical to the object
 // engine's, and — per the determinism contract — bit-identical across every
-// combination of batch `jobs`, flat-engine `rebuild_jobs`, and `step_jobs`.
-// These tests run in the TSan CI job (name-matched via 'FlatEngine'), so
-// the sharded parallel rebuild and wide refresh are also exercised under
-// the race detector.
+// combination of batch `jobs` and flat-engine `rebuild_jobs`. These tests
+// run in the TSan CI job (name-matched via 'FlatEngine'), so the sharded
+// parallel rebuild is also exercised under the race detector.
 #include <gtest/gtest.h>
 
 #include "analysis/batch_runner.hpp"
@@ -72,22 +71,20 @@ TEST(FlatEngineScenarioBatch, EngineJobsAreAggregateInvariant) {
   batch.master_seed = 5;
 
   scenario.rebuild_jobs = 1;
-  scenario.step_jobs = 1;
   batch.jobs = 1;
   const BatchResult serial = run_scenario_batch(scenario, batch);
   for (const unsigned jobs : {4u, 8u}) {
     scenario.rebuild_jobs = jobs;
-    scenario.step_jobs = jobs;
     batch.jobs = 4;
     const BatchResult sharded = run_scenario_batch(scenario, batch);
     expect_same_aggregate(serial, sharded,
-                          "rebuild/step jobs " + std::to_string(jobs));
+                          "rebuild jobs " + std::to_string(jobs));
   }
 }
 
-TEST(FlatEngineScenarioBatch, StarStepJobsAreAggregateInvariant) {
-  // A star's center step dirties all n processes, so every post-step
-  // refresh takes the block-sharded wide path when step_jobs > 1. The
+TEST(FlatEngineScenarioBatch, StarRebuildJobsAreAggregateInvariant) {
+  // n = 300 spans five 64-process blocks, so rebuild_jobs > 1 really
+  // splits the corruption and crash rebuilds across workers. The
   // aggregates must not notice.
   ScenarioOptions scenario;
   scenario.topology = "star";
@@ -104,14 +101,14 @@ TEST(FlatEngineScenarioBatch, StarStepJobsAreAggregateInvariant) {
   batch.jobs = 2;
   batch.master_seed = 17;
 
-  scenario.step_jobs = 1;
+  scenario.rebuild_jobs = 1;
   const BatchResult serial = run_scenario_batch(scenario, batch);
   EXPECT_GT(serial.converged, 0u);
-  for (const unsigned step_jobs : {2u, 4u}) {
-    scenario.step_jobs = step_jobs;
+  for (const unsigned jobs : {2u, 4u}) {
+    scenario.rebuild_jobs = jobs;
     const BatchResult sharded = run_scenario_batch(scenario, batch);
     expect_same_aggregate(serial, sharded,
-                          "star step_jobs " + std::to_string(step_jobs));
+                          "star rebuild jobs " + std::to_string(jobs));
   }
 }
 
@@ -139,10 +136,9 @@ TEST(FlatEngineScenarioBatch, TenThousandProcessRunIsJobsInvariant) {
   EXPECT_EQ(serial.converged, serial.trials);
   for (const unsigned jobs : {4u, 8u}) {
     scenario.rebuild_jobs = jobs;
-    scenario.step_jobs = jobs;
     const BatchResult sharded = run_scenario_batch(scenario, batch);
     expect_same_aggregate(serial, sharded,
-                          "n=10k rebuild/step jobs " + std::to_string(jobs));
+                          "n=10k rebuild jobs " + std::to_string(jobs));
   }
 }
 
