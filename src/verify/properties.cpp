@@ -5,6 +5,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
 
 #include "analysis/invariants.hpp"
 #include "graph/algorithms.hpp"
@@ -14,8 +15,6 @@ namespace diners::verify {
 namespace {
 
 using core::DinersSystem;
-
-constexpr std::uint32_t kNoMove = static_cast<std::uint32_t>(-1);
 
 /// The check_* oracles reason about *every* reachable behavior; a graph
 /// truncated at Options::max_states has unexpanded states whose outgoing
@@ -47,136 +46,11 @@ struct FairCycle {
   std::size_t scc_size;
 };
 
-/// Shortest cycle through `entry` using intra-SCC arcs (comp[x] == id,
-/// move != excluded). Precondition: such a cycle exists (the SCC has an
-/// intra-arc and is strongly connected).
-std::vector<StateGraph::Arc> shortest_cycle(
-    const StateGraph& g, const std::vector<std::uint32_t>& comp,
-    std::uint32_t id, std::uint32_t excluded_move, std::uint32_t entry) {
-  constexpr std::uint32_t kUnset = std::numeric_limits<std::uint32_t>::max();
-  // BFS from entry; parent arc per reached member.
-  std::unordered_map<std::uint32_t, std::pair<std::uint32_t, StateGraph::Arc>>
-      parent;  // node -> (predecessor, arc into node)
-  std::deque<std::uint32_t> queue{entry};
-  std::uint32_t closing_from = kUnset;
-  StateGraph::Arc closing_arc{};
-  while (!queue.empty() && closing_from == kUnset) {
-    const std::uint32_t u = queue.front();
-    queue.pop_front();
-    for (const auto& arc : g.arcs_of(u)) {
-      if (arc.move == excluded_move || comp[arc.to] != id) continue;
-      if (arc.to == entry) {
-        closing_from = u;
-        closing_arc = arc;
-        break;
-      }
-      if (arc.to != entry && !parent.contains(arc.to)) {
-        parent.emplace(arc.to, std::make_pair(u, arc));
-        queue.push_back(arc.to);
-      }
-    }
-  }
-  std::vector<StateGraph::Arc> cycle;
-  cycle.push_back(closing_arc);
-  for (std::uint32_t v = closing_from; v != entry;) {
-    const auto& [pred, arc] = parent.at(v);
-    cycle.push_back(arc);
-    v = pred;
-  }
-  std::reverse(cycle.begin(), cycle.end());
-  return cycle;
-}
-
-/// Iterative Tarjan over the subgraph induced by `in_set` minus
-/// `excluded_move` arcs; returns the first weakly-fair-feasible SCC found
-/// (see properties.hpp for the exactness argument).
-std::optional<FairCycle> find_fair_cycle(const StateGraph& g,
-                                         const std::vector<std::uint8_t>& in_set,
-                                         std::uint32_t excluded_move) {
-  const std::uint32_t n = g.num_states();
-  std::vector<std::uint32_t> idx(n, kNoIndex), low(n, 0), comp(n, kNoIndex);
-  std::vector<std::uint8_t> on_stack(n, 0);
-  std::vector<std::uint32_t> stack;
-  std::uint32_t counter = 0, comp_counter = 0;
-
-  struct Frame {
-    std::uint32_t node;
-    std::uint32_t arc;
-  };
-  std::vector<Frame> dfs;
-
-  const auto allowed = [&](const StateGraph::Arc& arc) {
-    return arc.move != excluded_move && in_set[arc.to] != 0;
-  };
-
-  for (std::uint32_t root = 0; root < n; ++root) {
-    if (in_set[root] == 0 || idx[root] != kNoIndex) continue;
-    idx[root] = low[root] = counter++;
-    stack.push_back(root);
-    on_stack[root] = 1;
-    dfs.push_back({root, g.succ_begin[root]});
-
-    while (!dfs.empty()) {
-      const std::uint32_t u = dfs.back().node;
-      if (dfs.back().arc < g.succ_begin[u + 1]) {
-        const StateGraph::Arc arc = g.succ[dfs.back().arc++];
-        if (!allowed(arc)) continue;
-        if (idx[arc.to] == kNoIndex) {
-          idx[arc.to] = low[arc.to] = counter++;
-          stack.push_back(arc.to);
-          on_stack[arc.to] = 1;
-          dfs.push_back({arc.to, g.succ_begin[arc.to]});
-        } else if (on_stack[arc.to]) {
-          low[u] = std::min(low[u], idx[arc.to]);
-        }
-        continue;
-      }
-      dfs.pop_back();
-      if (!dfs.empty()) {
-        low[dfs.back().node] = std::min(low[dfs.back().node], low[u]);
-      }
-      if (low[u] != idx[u]) continue;
-
-      // u is an SCC root: pop the members and test fairness feasibility.
-      const std::uint32_t id = comp_counter++;
-      std::vector<std::uint32_t> members;
-      for (;;) {
-        const std::uint32_t w = stack.back();
-        stack.pop_back();
-        on_stack[w] = 0;
-        comp[w] = id;
-        members.push_back(w);
-        if (w == u) break;
-      }
-      std::uint64_t always = ~std::uint64_t{0};
-      std::uint64_t executed = 0;
-      bool has_arc = false;
-      for (std::uint32_t m : members) {
-        always &= g.enabled[m];
-        for (const auto& arc : g.arcs_of(m)) {
-          if (!allowed(arc) || comp[arc.to] != id) continue;
-          has_arc = true;
-          executed |= std::uint64_t{1} << arc.move;
-        }
-      }
-      always &= ~kJoinBits;
-      if (!has_arc || (always & ~executed) != 0) continue;
-
-      const std::uint32_t entry =
-          *std::min_element(members.begin(), members.end());
-      return FairCycle{entry,
-                       shortest_cycle(g, comp, id, excluded_move, entry),
-                       members.size()};
-    }
-  }
-  return std::nullopt;
-}
-
 bool terminal(const StateGraph& g, std::uint32_t i) {
   return g.succ_begin[i + 1] == g.succ_begin[i];
 }
 
-// ---- group-product fairness search for symmetry-reduced graphs -----------
+// ---- fair-cycle search over the (state x frame) product -----------------
 //
 // A quotient graph (g.sym non-null) stores one representative per orbit;
 // fairness is NOT symmetric state-by-state (an SCC of representatives mixes
@@ -186,197 +60,235 @@ bool terminal(const StateGraph& g, std::uint32_t i) {
 // (s, h) -> (t, w∘h) executing the concrete move (h^{-1}(proc(m)), act(m)),
 // and the concrete enabled mask at (s, h) is enabled[s] permuted by h^{-1}.
 // This product is exactly the concrete transition graph over the orbit
-// closure of the seed set, so find_fair_cycle's exactness argument applies
-// verbatim. Any closed product cycle has witness product == identity
-// (closure at a fixed frame forces it), so the returned rep-frame arc cycle
-// closes concretely from *any* start frame — counterexample lifting needs
-// no frame alignment.
+// closure of the seed set, so the exactness argument of properties.hpp
+// applies verbatim. Any closed product cycle has witness product ==
+// identity (closure at a fixed frame forces it), so the returned rep-frame
+// arc cycle closes concretely from *any* start frame — counterexample
+// lifting needs no frame alignment. An unreduced graph is the product with
+// the trivial group: G = 1, every frame and witness the identity.
+//
+// Product nodes are indexed directly as rank(s) * G + h, where rank counts
+// only the states that are in the set under at least one frame. Rank is
+// monotone in s, so the index order is the (state, frame) order that fixes
+// the root order and the entry choice.
 
-struct ProductQuery {
+struct FairCycleQuery {
   const StateGraph& g;
   /// Frame-independent bad set (bad[s] covers every frame), or null.
   const std::vector<std::uint8_t>* sym_bad = nullptr;
-  /// Starvation mode: per-state bitmask of hungry processes + the tracked
-  /// process; node (s, h) is bad iff rep process h(tracked) is hungry.
+  /// Starvation mode: per-state bitmask of the hungry processes in the
+  /// tracked process's orbit + the tracked process; node (s, h) is bad iff
+  /// rep process h(tracked) is hungry, and its (h(tracked), enter) arcs are
+  /// excluded.
   const std::vector<std::uint16_t>* hungry = nullptr;
-  std::optional<sim::ProcessId> tracked;
+  sim::ProcessId tracked = 0;
 };
 
-std::optional<FairCycle> find_fair_cycle_product(const ProductQuery& q) {
+std::optional<FairCycle> find_fair_cycle(const FairCycleQuery& q) {
   const StateGraph& g = q.g;
-  const SymmetryGroup& grp = *g.sym;
-  const auto G = static_cast<std::uint32_t>(grp.size());
-  const std::uint32_t n = g.num_states();
+  const SymmetryGroup* grp = g.sym.get();
+  const auto G =
+      grp != nullptr ? static_cast<std::uint32_t>(grp->size()) : 1u;
 
-  const auto in_set = [&](std::uint32_t s, std::uint16_t h) {
-    if (q.sym_bad != nullptr) return (*q.sym_bad)[s] != 0;
-    return (((*q.hungry)[s] >> grp.apply_node(h, *q.tracked)) & 1) != 0;
-  };
-  const auto excluded = [&](std::uint16_t move, std::uint16_t h) {
-    return q.tracked &&
-           move_action(move) == DinersSystem::kEnter &&
-           move_process(move) == grp.apply_node(h, *q.tracked);
-  };
-
-  // Dense product-node ids, allocated on first touch (the product is
-  // sparse: only bad nodes and their intra-bad arcs are walked).
-  KeyIndex ids;
-  std::vector<std::uint64_t> node;  ///< dense -> s * G + h
-  std::vector<std::uint32_t> idx, low, comp;
-  std::vector<std::uint8_t> on_stack;
-  const auto dense_of = [&](std::uint64_t nid) {
-    Key pk;
-    pk.lo = nid;
-    const auto [v, inserted] =
-        ids.insert(pk, static_cast<std::uint32_t>(node.size()));
-    if (inserted) {
-      node.push_back(nid);
-      idx.push_back(kNoIndex);
-      low.push_back(0);
-      comp.push_back(kNoIndex);
-      on_stack.push_back(0);
+  // Per frame h: the bit of the process that plays the tracked one, and
+  // its excluded enter move (kSeedMove matches no stored arc).
+  std::vector<std::uint16_t> tracked_bit(G, 0);
+  std::vector<std::uint16_t> excluded(G, kSeedMove);
+  if (q.hungry != nullptr) {
+    for (std::uint32_t h = 0; h < G; ++h) {
+      const sim::ProcessId p =
+          grp != nullptr
+              ? grp->apply_node(static_cast<SymmetryGroup::ElemId>(h),
+                                q.tracked)
+              : q.tracked;
+      tracked_bit[h] = static_cast<std::uint16_t>(1u << p);
+      excluded[h] = protocol_move(p, DinersSystem::kEnter);
     }
-    return v;
+  }
+  const auto frame_after = [&](const StateGraph::Arc& arc, std::uint32_t h) {
+    return grp != nullptr ? std::uint32_t{grp->compose(
+                                arc.witness,
+                                static_cast<SymmetryGroup::ElemId>(h))}
+                          : 0u;
   };
 
-  std::vector<std::uint32_t> stack;
+  // Rank the states that are in the set under at least one frame; an empty
+  // set has no cycle and allocates nothing.
+  const auto in_any = [&](std::uint32_t s) {
+    return q.sym_bad != nullptr ? (*q.sym_bad)[s] != 0
+                                : (*q.hungry)[s] != 0;
+  };
+  std::uint32_t ranked = 0;
+  for (std::uint32_t s = 0; s < g.num_states(); ++s) ranked += in_any(s);
+  if (ranked == 0) return std::nullopt;
+  const std::uint64_t nodes = std::uint64_t{ranked} * G;
+  if (nodes >= kNoIndex) {
+    throw std::length_error("fair-cycle search: product exceeds 2^32 nodes");
+  }
+  std::vector<std::uint32_t> rank(g.num_states(), kNoIndex);
+  std::vector<std::uint32_t> state_of_rank;
+  state_of_rank.reserve(ranked);
+  for (std::uint32_t s = 0; s < g.num_states(); ++s) {
+    if (!in_any(s)) continue;
+    rank[s] = static_cast<std::uint32_t>(state_of_rank.size());
+    state_of_rank.push_back(s);
+  }
+  const auto in_set = [&](std::uint32_t s, std::uint32_t h) {
+    if (q.hungry != nullptr) return ((*q.hungry)[s] & tracked_bit[h]) != 0;
+    return rank[s] != kNoIndex;
+  };
+  // The product node of (s, h); s must be in the set under some frame.
+  const auto node_of = [&](std::uint32_t s, std::uint32_t h) {
+    return rank[s] * G + h;
+  };
+
+  // Tarjan state, one record per product node so an arc touches one cache
+  // line. A visited node stays on the Tarjan stack until its SCC is
+  // numbered, so comp == kNoIndex doubles as the on-stack flag.
+  struct Node {
+    std::uint32_t idx = kNoIndex;
+    std::uint32_t low = 0;
+    std::uint32_t comp = kNoIndex;
+  };
+  std::vector<Node> tarjan(nodes);
+  std::vector<std::uint32_t> stack, members;
   std::uint32_t counter = 0, comp_counter = 0;
   struct Frame {
-    std::uint32_t dense;
+    std::uint32_t node;
     std::uint32_t arc;  ///< absolute index into g.succ
+    std::uint32_t end;
+    std::uint16_t h;
+    bool self_loop;  ///< an allowed arc leads from node back to itself
   };
   std::vector<Frame> dfs;
+  const auto visit = [&](std::uint32_t v, std::uint32_t s, std::uint32_t h) {
+    tarjan[v].idx = tarjan[v].low = counter++;
+    stack.push_back(v);
+    dfs.push_back({v, g.succ_begin[s], g.succ_begin[s + 1],
+                   static_cast<std::uint16_t>(h), false});
+  };
 
-  for (std::uint32_t root_s = 0; root_s < n; ++root_s) {
-    for (std::uint32_t root_h = 0; root_h < G; ++root_h) {
-      if (!in_set(root_s, static_cast<std::uint16_t>(root_h))) continue;
-      const std::uint32_t root =
-          dense_of(static_cast<std::uint64_t>(root_s) * G + root_h);
-      if (idx[root] != kNoIndex) continue;
-      idx[root] = low[root] = counter++;
-      stack.push_back(root);
-      on_stack[root] = 1;
-      dfs.push_back({root, g.succ_begin[root_s]});
+  for (std::uint32_t root = 0; root < nodes; ++root) {
+    const std::uint32_t root_s = state_of_rank[root / G];
+    if (!in_set(root_s, root % G) || tarjan[root].idx != kNoIndex) continue;
+    visit(root, root_s, root % G);
 
-      while (!dfs.empty()) {
-        const std::uint32_t u = dfs.back().dense;
-        const auto u_s = static_cast<std::uint32_t>(node[u] / G);
-        const auto u_h = static_cast<std::uint16_t>(node[u] % G);
-        if (dfs.back().arc < g.succ_begin[u_s + 1]) {
-          const StateGraph::Arc arc = g.succ[dfs.back().arc++];
-          if (excluded(arc.move, u_h)) continue;
-          const std::uint16_t t_h = grp.compose(arc.witness, u_h);
-          if (!in_set(arc.to, t_h)) continue;
-          const std::uint32_t v =
-              dense_of(static_cast<std::uint64_t>(arc.to) * G + t_h);
-          if (idx[v] == kNoIndex) {
-            idx[v] = low[v] = counter++;
-            stack.push_back(v);
-            on_stack[v] = 1;
-            dfs.push_back({v, g.succ_begin[arc.to]});
-          } else if (on_stack[v]) {
-            low[u] = std::min(low[u], idx[v]);
-          }
-          continue;
+    while (!dfs.empty()) {
+      Frame& f = dfs.back();
+      const std::uint32_t u = f.node;
+      if (f.arc < f.end) {
+        const StateGraph::Arc arc = g.succ[f.arc++];
+        if (arc.move == excluded[f.h]) continue;
+        const std::uint32_t t_h = frame_after(arc, f.h);
+        if (!in_set(arc.to, t_h)) continue;
+        const std::uint32_t v = node_of(arc.to, t_h);
+        if (tarjan[v].idx == kNoIndex) {
+          visit(v, arc.to, t_h);
+        } else if (tarjan[v].comp == kNoIndex) {
+          tarjan[u].low = std::min(tarjan[u].low, tarjan[v].idx);
+          f.self_loop |= v == u;
         }
-        dfs.pop_back();
-        if (!dfs.empty()) {
-          low[dfs.back().dense] = std::min(low[dfs.back().dense], low[u]);
-        }
-        if (low[u] != idx[u]) continue;
-
-        const std::uint32_t id = comp_counter++;
-        std::vector<std::uint32_t> members;
-        for (;;) {
-          const std::uint32_t w = stack.back();
-          stack.pop_back();
-          on_stack[w] = 0;
-          comp[w] = id;
-          members.push_back(w);
-          if (w == u) break;
-        }
-        std::uint64_t always = ~std::uint64_t{0};
-        std::uint64_t executed = 0;
-        bool has_arc = false;
-        for (const std::uint32_t d : members) {
-          const auto s = static_cast<std::uint32_t>(node[d] / G);
-          const auto h = static_cast<std::uint16_t>(node[d] % G);
-          const auto h_inv = grp.inverse(h);
-          always &= grp.permute_mask(h_inv, g.enabled[s]);
-          for (const auto& arc : g.arcs_of(s)) {
-            if (excluded(arc.move, h)) continue;
-            const std::uint16_t t_h = grp.compose(arc.witness, h);
-            if (!in_set(arc.to, t_h)) continue;
-            const std::uint32_t td =
-                dense_of(static_cast<std::uint64_t>(arc.to) * G + t_h);
-            if (comp[td] != id) continue;
-            has_arc = true;
-            executed |= std::uint64_t{1} << grp.permute_move(h_inv, arc.move);
-          }
-        }
-        always &= ~kJoinBits;
-        if (!has_arc || (always & ~executed) != 0) continue;
-
-        // Entry: the member with the smallest (state, frame); shortest
-        // product cycle through it via BFS over intra-SCC arcs.
-        const std::uint32_t entry = *std::min_element(
-            members.begin(), members.end(),
-            [&](std::uint32_t a, std::uint32_t b) { return node[a] < node[b]; });
-        std::unordered_map<std::uint32_t,
-                           std::pair<std::uint32_t, StateGraph::Arc>>
-            parent;
-        std::deque<std::uint32_t> queue{entry};
-        constexpr std::uint32_t kUnset =
-            std::numeric_limits<std::uint32_t>::max();
-        std::uint32_t closing_from = kUnset;
-        StateGraph::Arc closing_arc{};
-        while (!queue.empty() && closing_from == kUnset) {
-          const std::uint32_t d = queue.front();
-          queue.pop_front();
-          const auto s = static_cast<std::uint32_t>(node[d] / G);
-          const auto h = static_cast<std::uint16_t>(node[d] % G);
-          for (const auto& arc : g.arcs_of(s)) {
-            if (excluded(arc.move, h)) continue;
-            const std::uint16_t t_h = grp.compose(arc.witness, h);
-            if (!in_set(arc.to, t_h)) continue;
-            const std::uint32_t td =
-                dense_of(static_cast<std::uint64_t>(arc.to) * G + t_h);
-            if (comp[td] != id) continue;
-            if (td == entry) {
-              closing_from = d;
-              closing_arc = arc;
-              break;
-            }
-            if (!parent.contains(td)) {
-              parent.emplace(td, std::make_pair(d, arc));
-              queue.push_back(td);
-            }
-          }
-        }
-        std::vector<StateGraph::Arc> cycle;
-        cycle.push_back(closing_arc);
-        for (std::uint32_t d = closing_from; d != entry;) {
-          const auto& [pred, arc] = parent.at(d);
-          cycle.push_back(arc);
-          d = pred;
-        }
-        std::reverse(cycle.begin(), cycle.end());
-        return FairCycle{static_cast<std::uint32_t>(node[entry] / G),
-                         std::move(cycle), members.size()};
+        continue;
       }
+      const bool self_loop = f.self_loop;
+      dfs.pop_back();
+      if (!dfs.empty()) {
+        Node& caller = tarjan[dfs.back().node];
+        caller.low = std::min(caller.low, tarjan[u].low);
+      }
+      if (tarjan[u].low != tarjan[u].idx) continue;
+
+      // u is an SCC root: pop the members and test fairness feasibility.
+      // Most SCCs are singletons without a self-loop, which have no
+      // intra-arc and need no second walk over their arcs.
+      const std::uint32_t id = comp_counter++;
+      if (stack.back() == u && !self_loop) {
+        stack.pop_back();
+        tarjan[u].comp = id;
+        continue;
+      }
+      members.clear();
+      for (;;) {
+        const std::uint32_t w = stack.back();
+        stack.pop_back();
+        tarjan[w].comp = id;
+        members.push_back(w);
+        if (w == u) break;
+      }
+      std::uint64_t always = ~std::uint64_t{0};
+      std::uint64_t executed = 0;
+      bool has_arc = false;
+      for (const std::uint32_t d : members) {
+        const std::uint32_t s = state_of_rank[d / G];
+        const std::uint32_t h = d % G;
+        const auto h_inv = grp != nullptr
+                               ? grp->inverse(
+                                     static_cast<SymmetryGroup::ElemId>(h))
+                               : SymmetryGroup::kIdentity;
+        always &= grp != nullptr ? grp->permute_mask(h_inv, g.enabled[s])
+                                 : g.enabled[s];
+        for (const auto& arc : g.arcs_of(s)) {
+          if (arc.move == excluded[h]) continue;
+          const std::uint32_t t_h = frame_after(arc, h);
+          if (!in_set(arc.to, t_h) ||
+              tarjan[node_of(arc.to, t_h)].comp != id) {
+            continue;
+          }
+          has_arc = true;
+          executed |= std::uint64_t{1}
+                      << (grp != nullptr ? grp->permute_move(h_inv, arc.move)
+                                         : arc.move);
+        }
+      }
+      always &= ~kJoinBits;
+      if (!has_arc || (always & ~executed) != 0) continue;
+
+      // Entry: the member with the smallest (state, frame); shortest
+      // product cycle through it via BFS over intra-SCC arcs.
+      const std::uint32_t entry =
+          *std::min_element(members.begin(), members.end());
+      std::unordered_map<std::uint32_t,
+                         std::pair<std::uint32_t, StateGraph::Arc>>
+          parent;  // node -> (predecessor, arc into node)
+      std::deque<std::uint32_t> queue{entry};
+      constexpr std::uint32_t kUnset =
+          std::numeric_limits<std::uint32_t>::max();
+      std::uint32_t closing_from = kUnset;
+      StateGraph::Arc closing_arc{};
+      while (!queue.empty() && closing_from == kUnset) {
+        const std::uint32_t d = queue.front();
+        queue.pop_front();
+        const std::uint32_t h = d % G;
+        for (const auto& arc : g.arcs_of(state_of_rank[d / G])) {
+          if (arc.move == excluded[h]) continue;
+          const std::uint32_t t_h = frame_after(arc, h);
+          if (!in_set(arc.to, t_h)) continue;
+          const std::uint32_t td = node_of(arc.to, t_h);
+          if (tarjan[td].comp != id) continue;
+          if (td == entry) {
+            closing_from = d;
+            closing_arc = arc;
+            break;
+          }
+          if (!parent.contains(td)) {
+            parent.emplace(td, std::make_pair(d, arc));
+            queue.push_back(td);
+          }
+        }
+      }
+      std::vector<StateGraph::Arc> cycle;
+      cycle.push_back(closing_arc);
+      for (std::uint32_t d = closing_from; d != entry;) {
+        const auto& [pred, arc] = parent.at(d);
+        cycle.push_back(arc);
+        d = pred;
+      }
+      std::reverse(cycle.begin(), cycle.end());
+      return FairCycle{state_of_rank[entry / G], std::move(cycle),
+                       members.size()};
     }
   }
   return std::nullopt;
-}
-
-/// Dispatch: product search on a symmetry-reduced graph, direct search
-/// otherwise. `bad` must be a symmetric (frame-independent) label.
-std::optional<FairCycle> find_fair_cycle_any(
-    const StateGraph& g, const std::vector<std::uint8_t>& bad) {
-  if (g.sym) {
-    return find_fair_cycle_product({.g = g, .sym_bad = &bad});
-  }
-  return find_fair_cycle(g, bad, kNoMove);
 }
 
 Violation cycle_violation(std::string property, std::string detail,
@@ -469,7 +381,7 @@ std::optional<Violation> check_convergence(
       return v;
     }
   }
-  if (auto fc = find_fair_cycle_any(g, bad)) {
+  if (auto fc = find_fair_cycle({.g = g, .sym_bad = &bad})) {
     return cycle_violation("convergence",
                            "weakly fair run stays outside I forever",
                            std::move(*fc));
@@ -490,7 +402,7 @@ std::optional<Violation> check_far_safety(
       return v;
     }
   }
-  if (auto fc = find_fair_cycle_any(g, far_bad)) {
+  if (auto fc = find_fair_cycle({.g = g, .sym_bad = &far_bad})) {
     return cycle_violation(
         "far-safety", "weakly fair run keeps a far eating violation forever",
         std::move(*fc));
@@ -502,69 +414,41 @@ std::optional<Violation> check_no_starvation(const StateGraph& g,
                                              const StateCodec& codec,
                                              sim::ProcessId p) {
   require_complete(g, "check_no_starvation");
-  if (g.sym == nullptr) {
-    std::vector<std::uint8_t> hungry(g.num_states());
-    for (std::uint32_t i = 0; i < g.num_states(); ++i) {
-      hungry[i] =
-          codec.state_of(g.keys[i], p) == core::DinerState::kHungry ? 1 : 0;
-      if (hungry[i] != 0 && terminal(g, i)) {
-        Violation v;
-        v.kind = Violation::Kind::kStuck;
-        v.property = "starvation";
-        v.detail = "process " + std::to_string(p) +
-                   " is hungry in a terminal state";
-        v.state = i;
-        return v;
-      }
-    }
-    if (auto fc = find_fair_cycle(g, hungry,
-                                  protocol_move(p, DinersSystem::kEnter))) {
-      return cycle_violation("starvation",
-                             "process " + std::to_string(p) +
-                                 " stays hungry forever without eating",
-                             std::move(*fc));
-    }
-    return std::nullopt;
+  // On a symmetry-reduced graph each representative covers its whole orbit
+  // of concrete states, so p is hungry "at rep i under frame h" iff h(p) is
+  // hungry in the rep — the per-state labels are bitmasks over p's orbit,
+  // and the verdict covers every process in that orbit (the lifted run may
+  // starve any of them, up to relabeling by an automorphism). Unreduced,
+  // the orbit is {p}.
+  const bool reduced = g.sym != nullptr;
+  auto orbit_bits = static_cast<std::uint16_t>(1u << p);
+  for (SymmetryGroup::ElemId e = 0; reduced && e < g.sym->size(); ++e) {
+    orbit_bits |= static_cast<std::uint16_t>(1u << g.sym->apply_node(e, p));
   }
-
-  // Symmetry-reduced graph: each representative covers its whole orbit of
-  // concrete states, so p is hungry "at rep i under frame h" iff h(p) is
-  // hungry in the rep — the per-state labels become bitmasks over p's
-  // orbit, and the fairness search runs on the group product. The verdict
-  // covers every process in p's orbit (the lifted run may starve any of
-  // them, up to relabeling by an automorphism).
-  const SymmetryGroup& grp = *g.sym;
-  const auto n_procs =
-      static_cast<sim::ProcessId>(codec.topology().num_nodes());
-  std::uint16_t orbit_bits = 0;
-  for (SymmetryGroup::ElemId e = 0; e < grp.size(); ++e) {
-    orbit_bits |= static_cast<std::uint16_t>(1u << grp.apply_node(e, p));
-  }
+  const std::string who =
+      reduced ? "a process in the orbit of process " + std::to_string(p)
+              : "process " + std::to_string(p);
+  const std::string where = reduced ? " (symmetry-reduced graph)" : "";
   std::vector<std::uint16_t> hungry(g.num_states(), 0);
   for (std::uint32_t i = 0; i < g.num_states(); ++i) {
-    std::uint16_t m = 0;
-    for (sim::ProcessId q = 0; q < n_procs; ++q) {
-      if (codec.state_of(g.keys[i], q) == core::DinerState::kHungry) {
-        m |= static_cast<std::uint16_t>(1u << q);
+    for (sim::ProcessId q = 0; q < codec.topology().num_nodes(); ++q) {
+      if ((orbit_bits >> q & 1u) != 0 &&
+          codec.state_of(g.keys[i], q) == core::DinerState::kHungry) {
+        hungry[i] |= static_cast<std::uint16_t>(1u << q);
       }
     }
-    hungry[i] = m;
-    if ((m & orbit_bits) != 0 && terminal(g, i)) {
+    if (hungry[i] != 0 && terminal(g, i)) {
       Violation v;
       v.kind = Violation::Kind::kStuck;
       v.property = "starvation";
-      v.detail = "a process in the orbit of process " + std::to_string(p) +
-                 " is hungry in a terminal state (symmetry-reduced graph)";
+      v.detail = who + " is hungry in a terminal state" + where;
       v.state = i;
       return v;
     }
   }
-  if (auto fc = find_fair_cycle_product(
-          {.g = g, .hungry = &hungry, .tracked = p})) {
+  if (auto fc = find_fair_cycle({.g = g, .hungry = &hungry, .tracked = p})) {
     return cycle_violation(
-        "starvation",
-        "a process in the orbit of process " + std::to_string(p) +
-            " stays hungry forever without eating (symmetry-reduced graph)",
+        "starvation", who + " stays hungry forever without eating" + where,
         std::move(*fc));
   }
   return std::nullopt;

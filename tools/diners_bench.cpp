@@ -14,7 +14,8 @@
 //                                               -> ns/process
 //   explorer  diners_mc --exhaustive --json on ring-4 and K4 at
 //             jobs=1/4, plus --reduce=sym,por rows (ring-4 box,
-//             ring-6 instance seeds)             -> states/sec
+//             ring-6 instance seeds)             -> states/sec, and the
+//                                                  ring-6 proof wall seconds
 //   batch     BM_BatchTrials n=64 jobs=1/4 (bench_batch_runner)
 //                                               -> trials/sec, speedup
 //   chaos     diners_chaos ring-8 soak          -> mean recovery steps
@@ -36,7 +37,7 @@
 // Examples:
 //   diners_bench --quick --git-rev=$(git rev-parse --short HEAD)
 //   diners_bench --compare=BENCH_9.json --out=BENCH_10.json
-//   diners_bench --compare=BENCH_10.json --out=BENCH_ci.json \
+//   diners_bench --compare=BENCH_10.json --out=BENCH_ci.json
 //                --soft-match=engine.step.,engine.e1.,service.
 #include <algorithm>
 #include <chrono>
@@ -214,7 +215,9 @@ void collect_engine(BenchReport& report, const fs::path& bench_dir,
 /// explorer.reduced.* rows (append-only) run the same check under
 /// --reduce=sym,por: ring-4 over the full depth box, ring-6 from instance
 /// seeds (the box does not fit) with locality victims off so the metric
-/// stays a pure healthy-graph throughput sample.
+/// stays a pure healthy-graph throughput sample. The ring-6 run also yields
+/// mc.reduced.ring6.wall_s, the whole proof's wall time (exploration,
+/// labelling and the property checks), from the same --json summary.
 void collect_explorer(BenchReport& report, const fs::path& tools_dir,
                       const fs::path& workdir) {
   const struct {
@@ -223,6 +226,7 @@ void collect_explorer(BenchReport& report, const fs::path& tools_dir,
     const char* n;
     const char* jobs;
     const char* extra;  // extra diners_mc flags, "" for the baseline rows
+    const char* wall_metric = nullptr;  // also record wall_seconds as this
   } rows[] = {
       {"explorer.ring4.jobs1", "ring", "4", "1", ""},
       {"explorer.ring4.jobs4", "ring", "4", "4", ""},
@@ -230,7 +234,8 @@ void collect_explorer(BenchReport& report, const fs::path& tools_dir,
       {"explorer.k4.jobs4", "complete", "4", "4", ""},
       {"explorer.reduced.ring4.jobs1", "ring", "4", "1", " --reduce=sym,por"},
       {"explorer.reduced.ring6.jobs4", "ring", "6", "4",
-       " --reduce=sym,por --seeds=instance --victims=none"},
+       " --reduce=sym,por --seeds=instance --victims=none",
+       "mc.reduced.ring6.wall_s"},
   };
   for (const auto& row : rows) {
     const fs::path out =
@@ -257,7 +262,15 @@ void collect_explorer(BenchReport& report, const fs::path& tools_dir,
     if (row.extra[0] != '\0') {
       m.params.emplace("reduce", doc.at("reduction").at("mode").as_string());
     }
-    report.metrics.push_back(std::move(m));
+    report.metrics.push_back(m);
+    if (row.wall_metric != nullptr) {
+      BenchMetric wall = std::move(m);
+      wall.name = row.wall_metric;
+      wall.value = doc.at("wall_seconds").as_number();
+      wall.unit = "s";
+      wall.higher_is_better = false;
+      report.metrics.push_back(std::move(wall));
+    }
   }
 }
 

@@ -89,6 +89,15 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+/// Runs `f` and adds its wall time to `acc`.
+template <typename F>
+auto timed(double& acc, F&& f) {
+  const auto t0 = std::chrono::steady_clock::now();
+  auto result = f();
+  acc += seconds_since(t0);
+  return result;
+}
+
 struct CheckSet {
   bool closure = false;
   bool convergence = false;
@@ -109,6 +118,11 @@ struct ExhaustiveStats {
   std::uint64_t explored_states_total = 0;
   double explore_seconds = 0;
   double wall_seconds = 0;
+  /// State labelling (I, far violations) and property checks, over the
+  /// healthy graph and every demonic-victim graph. With explore_seconds
+  /// they split wall_seconds; the rest is seed construction and output.
+  double label_seconds = 0;
+  double check_seconds = 0;
   /// Reduction accounting, summed over the healthy exploration and every
   /// demonic-victim re-exploration.
   std::string reduce_mode = "none";
@@ -163,6 +177,10 @@ void write_json_summary(std::ostream& os, const std::string& topology,
   w.field("por_ample_states", s.reduction.por_ample_states);
   w.field("por_arcs_pruned", s.reduction.por_arcs_pruned);
   w.end_object();
+  // Appended in schema v3: the labelling and property-check shares of
+  // wall_seconds (see ExhaustiveStats).
+  w.field("label_seconds", s.label_seconds);
+  w.field("check_seconds", s.check_seconds);
   w.finish();
 }
 
@@ -326,6 +344,7 @@ int run_exhaustive(const diners::util::Flags& flags,
   if (seeds_mode == "box") opts.expected_states = seeds.size();
   verify::Explorer explorer(scratch, codec, opts);
   const auto te0 = std::chrono::steady_clock::now();
+  const double seed_seconds = std::chrono::duration<double>(te0 - t0).count();
   const verify::StateGraph healthy = explorer.explore(seeds);
   const double healthy_seconds = seconds_since(te0);
   stats.explore_seconds += healthy_seconds;
@@ -340,7 +359,10 @@ int run_exhaustive(const diners::util::Flags& flags,
     return kInconclusive;
   }
 
-  const auto inv = verify::label_invariant(healthy, codec, scratch);
+  const auto label = [&](auto&& f) { return timed(stats.label_seconds, f); };
+  const auto check = [&](auto&& f) { return timed(stats.check_seconds, f); };
+  const auto inv = label(
+      [&] { return verify::label_invariant(healthy, codec, scratch); });
   std::uint64_t legit = 0;
   for (const auto b : inv) legit += b;
   stats.legitimate = legit;
@@ -386,13 +408,15 @@ int run_exhaustive(const diners::util::Flags& flags,
   };
 
   if (checks.closure) {
-    if (const auto v = verify::check_closure(healthy, inv)) {
+    if (const auto v =
+            check([&] { return verify::check_closure(healthy, inv); })) {
       return fail(std::nullopt, nullptr, *v);
     }
     std::cout << "closure: OK\n";
   }
   if (checks.convergence) {
-    if (const auto v = verify::check_convergence(healthy, inv)) {
+    if (const auto v =
+            check([&] { return verify::check_convergence(healthy, inv); })) {
       return fail(std::nullopt, nullptr, *v);
     }
     std::cout << "convergence: OK\n";
@@ -405,7 +429,9 @@ int run_exhaustive(const diners::util::Flags& flags,
       const auto prep = orbit_reps(healthy, prototype.topology().num_nodes());
       for (NodeId p = 0; p < prototype.topology().num_nodes(); ++p) {
         if (prep[p] == 0) continue;
-        if (const auto v = verify::check_no_starvation(healthy, codec, p)) {
+        if (const auto v = check([&] {
+              return verify::check_no_starvation(healthy, codec, p);
+            })) {
           return fail(std::nullopt, nullptr, *v);
         }
       }
@@ -424,9 +450,11 @@ int run_exhaustive(const diners::util::Flags& flags,
       // explored graph directly against its dead set.
       const auto dist = diners::graph::distances_to_set(
           g, std::span<const NodeId>(pre_dead));
-      const auto far_bad =
-          verify::label_far_violation(healthy, codec, scratch, dist, 2);
-      if (const auto v = verify::check_far_safety(healthy, far_bad)) {
+      const auto far_bad = label([&] {
+        return verify::label_far_violation(healthy, codec, scratch, dist, 2);
+      });
+      if (const auto v = check(
+              [&] { return verify::check_far_safety(healthy, far_bad); })) {
         return fail(std::nullopt, nullptr, *v);
       }
       const auto prep = orbit_reps(healthy, g.num_nodes());
@@ -435,7 +463,9 @@ int run_exhaustive(const diners::util::Flags& flags,
             prep[p] == 0) {
           continue;
         }
-        if (const auto v = verify::check_no_starvation(healthy, codec, p)) {
+        if (const auto v = check([&] {
+              return verify::check_no_starvation(healthy, codec, p);
+            })) {
           return fail(std::nullopt, nullptr, *v);
         }
       }
@@ -490,10 +520,12 @@ int run_exhaustive(const diners::util::Flags& flags,
       const auto dead = crashed_scratch.dead_processes();
       const auto dist = diners::graph::distances_to_set(
           g, std::span<const NodeId>(dead));
-      const auto far_bad = verify::label_far_violation(crashed, codec,
-                                                       crashed_scratch, dist,
-                                                       2);
-      if (const auto v = verify::check_far_safety(crashed, far_bad)) {
+      const auto far_bad = label([&] {
+        return verify::label_far_violation(crashed, codec, crashed_scratch,
+                                           dist, 2);
+      });
+      if (const auto v = check(
+              [&] { return verify::check_far_safety(crashed, far_bad); })) {
         return fail(victim, &crashed, *v);
       }
       const auto crep = orbit_reps(crashed, g.num_nodes());
@@ -502,7 +534,9 @@ int run_exhaustive(const diners::util::Flags& flags,
             !crashed_scratch.needs(p) || crep[p] == 0) {
           continue;
         }
-        if (const auto v = verify::check_no_starvation(crashed, codec, p)) {
+        if (const auto v = check([&] {
+              return verify::check_no_starvation(crashed, codec, p);
+            })) {
           return fail(victim, &crashed, *v);
         }
       }
@@ -514,7 +548,10 @@ int run_exhaustive(const diners::util::Flags& flags,
   std::cout << "VERIFIED " << flags.str("topology")
             << " n=" << prototype.topology().num_nodes() << ": "
             << healthy.num_states() << " states, wall " << seconds_since(t0)
-            << " s\n";
+            << " s (seeds " << seed_seconds << " s, explore "
+            << stats.explore_seconds << " s, label "
+            << stats.label_seconds << " s, checks " << stats.check_seconds
+            << " s)\n";
   return 0;
 }
 
